@@ -1,4 +1,4 @@
-// bench_fig12_parallel — scaling benchmark for the micro-batched parallel
+// bench_fig12_parallel — scaling benchmark for the batched-producer parallel
 // pipeline (paper Sec. V-B / Fig. 12), plus the original paper-shaped tables
 // behind --paper and a lock-free vs striped contention A/B behind
 // --contention.
@@ -301,7 +301,7 @@ int main(int argc, char** argv) {
   std::printf("sequential SPNL: %.3fs (%.0f rec/s), ECR %.4f\n", seq_seconds,
               seq_rps, seq_ecr);
 
-  print_header("Parallel scaling (micro-batched pipeline, lock-free hot path)");
+  print_header("Parallel scaling (per-record claims, lock-free hot path)");
   TablePrinter table({"M", "PT", "rec/s", "ECR", "dECR", "dv", "delayed",
                       "forced", "overflow"});
   table.add_row({"seq", fmt_pt(seq_seconds), TablePrinter::fmt(seq_rps, 0),
@@ -384,21 +384,20 @@ int main(int argc, char** argv) {
   }
   const bool speedup_ok = !gate_speedup || speedup >= threshold;
 
-  // Quality rides the same honesty rule. With M workers time-sliced onto
-  // fewer cores, the M>1 interleavings are scheduler artifacts — §5.1 of
-  // docs/performance.md documents the resulting M=4 ECR spike (delayed=0,
-  // both hot-path modes) — so the tight delta bound is enforced only
-  // alongside the speedup gate (or in smoke mode, whose looser threshold
-  // is a catastrophic-regression tripwire for ctest). A 2x ceiling stays
-  // on unconditionally and every per-M delta is recorded regardless.
+  // Quality rides the same honesty rule: the tight delta bound is enforced
+  // only alongside the speedup gate (or in smoke mode, whose looser
+  // threshold is a catastrophic-regression tripwire for ctest). A 2x
+  // ceiling stays on unconditionally and every per-M delta is recorded
+  // regardless; §5.1 of docs/performance.md says what the M>1 deltas
+  // measure on a 4-core host.
   const bool gate_quality = smoke || gate_speedup;
   const double quality_ceiling = 2.0 * quality_threshold;
   std::string quality_gate_skip_reason;
   if (!gate_quality) {
     quality_gate_skip_reason =
         "oversubscribed: hardware_concurrency " + std::to_string(hardware) +
-        " cannot run M=8 concurrently, so M>1 interleaving measures the "
-        "scheduler (docs/performance.md 5.1); ceiling still enforced";
+        " cannot run M=8 concurrently (docs/performance.md 5.1); ceiling "
+        "still enforced";
   }
   const bool quality_ok = gate_quality ? quality_delta <= quality_threshold
                                        : quality_delta <= quality_ceiling;

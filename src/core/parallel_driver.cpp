@@ -534,11 +534,9 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
           lock_free ? RctMode::kLockFree : RctMode::kStriped);
   Rct* rct_ptr = options.use_rct ? &rct : nullptr;
   // The watermark ring must span the maximum in-flight id spread: the queue,
-  // every worker's popped-but-unprocessed local batch, and the parked RCT
-  // records.
-  WatermarkTracker watermark(options.queue_capacity + rct_capacity +
-                                 options.num_threads * batch_size + 16,
-                             lock_free);
+  // the one record each worker has claimed, and the parked RCT records.
+  WatermarkTracker watermark(
+      options.queue_capacity + rct_capacity + options.num_threads + 16, lock_free);
   BoundedQueue<OwnedVertexRecord> queue(options.queue_capacity);
   // Queue-lock contention accounting rides the same opt-in as the rest of
   // the instrumentation: no sink, no clock reads on the queue path.
@@ -742,9 +740,10 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
   std::exception_ptr producer_error;
   std::thread producer([&] {
     try {
-      // Micro-batched handoff: records accumulate locally and cross the
-      // queue batch_size at a time, so the mutex/condvar round-trip is paid
-      // once per batch instead of once per record. Governor sampling and
+      // Batched producer crossing: records accumulate locally and cross the
+      // queue batch_size at a time, so the producer pays its mutex/condvar
+      // round-trip once per batch instead of once per record (workers still
+      // claim one record per pop). Governor sampling and
       // checkpoint cadence switch to the crossing-aware due(prev, now) —
       // `produced` now advances in batch-sized jumps that can step over an
       // exact multiple of the interval.
@@ -807,62 +806,59 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
       Worker worker(state, rct_ptr, watermark, perf, wd, t, delta,
                     options.gamma_epoch_records);
       std::uint64_t pops = 0;
-      // Whole batches cross the queue; everything below the pop — fault
-      // injection, watchdog publish/claim/steal, the shared-lock placement —
-      // still runs per record, so batching never widens the window a quiesce
-      // or a steal has to reason about.
-      std::vector<OwnedVertexRecord> batch;
-      batch.reserve(batch_size);
+      // Workers claim ONE record per pop (paper Sec. V-B): records are taken
+      // in stream order by whichever worker is free, so at most M records
+      // are ever claimed-but-unplaced and each goes through RCT registration
+      // before it is scored. Popping a run of consecutive ids instead would
+      // leave the run's tail unplaced and unregistered while its successors
+      // are scored in other workers — the placed-neighbor signal the score
+      // depends on silently disappears. Batching stays on the producer side.
       for (;;) {
-        std::size_t got;
+        std::optional<OwnedVertexRecord> popped;
         {
           PerfScope wait(perf, PerfStage::kQueueWait);
-          got = queue.pop_batch(batch, batch_size);
+          popped = queue.pop();
         }
-        if (got == 0) break;
-        for (OwnedVertexRecord& record : batch) {
-          // An abort drops the rest of the local batch, mirroring how
-          // BoundedQueue::abort discards undelivered items.
-          if (wd != nullptr && wd->aborted()) break;
-          ++pops;
+        if (!popped) break;
+        OwnedVertexRecord& record = *popped;
+        ++pops;
 
-          // Injected stragglers, deterministic by pop index.
-          for (const auto& f : options.faults.slow) {
-            if (f.worker == t && f.delay_seconds > 0.0 && f.every > 0 &&
-                pops % f.every == 0) {
-              std::this_thread::sleep_for(
-                  std::chrono::duration<double>(f.delay_seconds));
-            }
-          }
-          const StuckWorkerFault* stuck = nullptr;
-          for (const auto& f : options.faults.stuck) {
-            if (f.worker == t && f.at_pop == pops) stuck = &f;
-          }
-
-          if (wd != nullptr) {
-            wd->publish(t, record);
-            if (stuck != nullptr && !stuck->in_processing) {
-              // Transient freeze between publish and claim: the monitor
-              // steals and rescues the record, then this worker resumes.
-              wd->wait_until_stolen(t, stuck->max_stall_seconds);
-            }
-            if (!wd->claim(t)) continue;  // stolen — the monitor owns it now
-          } else if (stuck != nullptr) {
+        // Injected stragglers, deterministic by pop index.
+        for (const auto& f : options.faults.slow) {
+          if (f.worker == t && f.delay_seconds > 0.0 && f.every > 0 &&
+              pops % f.every == 0) {
             std::this_thread::sleep_for(
-                std::chrono::duration<double>(stuck->max_stall_seconds));
+                std::chrono::duration<double>(f.delay_seconds));
           }
-          {
-            std::shared_lock lock(pipeline_mutex);
-            if (wd != nullptr && stuck != nullptr && stuck->in_processing) {
-              // Wedge inside the placement: unstealable; with every worker
-              // wedged this way the monitor aborts the pipeline, which is
-              // what wakes this wait.
-              wd->wait_until_aborted(stuck->max_stall_seconds);
-            }
-            worker.process(std::move(record));
-          }
-          if (wd != nullptr) wd->complete(t);
         }
+        const StuckWorkerFault* stuck = nullptr;
+        for (const auto& f : options.faults.stuck) {
+          if (f.worker == t && f.at_pop == pops) stuck = &f;
+        }
+
+        if (wd != nullptr) {
+          wd->publish(t, record);
+          if (stuck != nullptr && !stuck->in_processing) {
+            // Transient freeze between publish and claim: the monitor
+            // steals and rescues the record, then this worker resumes.
+            wd->wait_until_stolen(t, stuck->max_stall_seconds);
+          }
+          if (!wd->claim(t)) continue;  // stolen — the monitor owns it now
+        } else if (stuck != nullptr) {
+          std::this_thread::sleep_for(
+              std::chrono::duration<double>(stuck->max_stall_seconds));
+        }
+        {
+          std::shared_lock lock(pipeline_mutex);
+          if (wd != nullptr && stuck != nullptr && stuck->in_processing) {
+            // Wedge inside the placement: unstealable; with every worker
+            // wedged this way the monitor aborts the pipeline, which is
+            // what wakes this wait.
+            wd->wait_until_aborted(stuck->max_stall_seconds);
+          }
+          worker.process(std::move(record));
+        }
+        if (wd != nullptr) wd->complete(t);
       }
       // Exit drain: whatever the final partial epoch buffered becomes
       // visible before the force-place/finisher phase reads the window.

@@ -77,13 +77,14 @@ struct ParallelOptions {
   /// Worker thread count M (the producer is an extra thread).
   unsigned num_threads = 4;
   std::size_t queue_capacity = 4096;
-  /// Micro-batched handoff: the producer pushes this many records per queue
-  /// operation and workers pop whole batches, amortizing the mutex/condvar
-  /// traffic by the batch size. Clamped to [1, queue_capacity] via
-  /// validated_batch_size (values < 1 are a typed error); 1 reproduces the
-  /// per-record handoff. Partial batches flush at stream end, and watchdog
-  /// publish/claim/steal and checkpoint quiesce still operate per record, so
-  /// batching changes throughput, not semantics.
+  /// Producer crossing size: the producer pushes this many records per queue
+  /// operation, amortizing its mutex/condvar traffic by the batch size.
+  /// Workers always claim one record per pop (paper Sec. V-B), so the batch
+  /// never decides which worker scores which vertex or how many records are
+  /// in flight unplaced. Clamped to [1, queue_capacity] via
+  /// validated_batch_size (values < 1 are a typed error). Partial batches
+  /// flush at stream end. Batching changes producer throughput and the
+  /// checkpoint/governor cadence granularity (they run at crossings).
   std::size_t batch_size = 64;
   /// RCT capacity factor ε: the table holds ε·M entries (paper Sec. V-B).
   double epsilon = 2.0;

@@ -8,6 +8,8 @@
 // than loosen (the point is bit-stability on a fixed toolchain).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/spn.hpp"
 #include "core/spnl.hpp"
 #include "graph/adjacency_stream.hpp"
@@ -32,6 +34,14 @@ constexpr Golden kGolden[] = {
     {"uk2002", "LDG", 33967},     {"uk2002", "FENNEL", 100522},
     {"uk2002", "SPN", 28763},     {"uk2002", "SPNL", 28404},
 };
+
+// Prints a case by value. gtest's default byte dump would include the
+// addresses of the name literals, which move with the binary's layout and
+// with ASLR, so the listed test names (and the ctest names discovered from
+// them) would change from build to build and from run to run.
+void PrintTo(const Golden& golden, std::ostream* os) {
+  *os << golden.dataset << "/" << golden.partitioner;
+}
 
 class GoldenRegression : public ::testing::TestWithParam<Golden> {};
 

@@ -64,6 +64,24 @@ TEST(Parallel, QualityNearSequential) {
   EXPECT_LT(par_ecr, seq + 0.08);
 }
 
+TEST(Parallel, QualityNearSequentialUnderForcedOverlap) {
+  // QualityNearSequential with every worker slowed now and then, so the
+  // workers genuinely overlap even when the host runs them one after
+  // another. How records are handed to workers must not decide quality:
+  // whatever the schedule, at most M claimed records are in flight unplaced.
+  const Graph g = crawl(20000, 3);
+  const double seq = sequential_ecr(g);
+  InMemoryStream stream(g);
+  ParallelOptions options;
+  options.num_threads = 4;
+  for (unsigned w = 0; w < options.num_threads; ++w) {
+    options.faults.slow.push_back({.worker = w, .delay_seconds = 50e-6, .every = 8});
+  }
+  const auto par = run_parallel(stream, {.num_partitions = 8}, options);
+  const double par_ecr = evaluate_partition(g, par.route, 8).ecr;
+  EXPECT_LT(par_ecr, seq + 0.08);
+}
+
 TEST(Parallel, RctReducesDegradation) {
   // Averaged over a few seeds, RCT-on should not be worse than RCT-off.
   double with_rct = 0.0, without_rct = 0.0;

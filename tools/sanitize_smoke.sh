@@ -126,10 +126,11 @@ mkdir -p "${smoke_dir}"
   --algo=spn --perf-report
 # Watchdog-enabled parallel run with an injected straggler (stolen + rescued
 # record) and a governed run forced down the degradation ladder. The default
-# runs above already exercise the micro-batched handoff (batch 64) and the
-# sharded RCT; the explicit --batch-size=16 run below adds a small-batch
-# straggler interleaving (partial tail flush + steal mid-batch) so TSan sees
-# the batched queue crossing under watchdog pressure too.
+# runs above already exercise the batched producer crossing (batch 64) and
+# the sharded RCT; the explicit --batch-size=16 run below adds a small-batch
+# straggler interleaving (partial tail flush + steal while the producer's
+# batch waits) so TSan sees the batched queue crossing under watchdog
+# pressure too.
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --threads=4 --watchdog-timeout=0.2 \
   --inject-faults=stuck:1@50 --quiet

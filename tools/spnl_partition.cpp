@@ -21,8 +21,8 @@
 //
 // Algorithms: hash, range, ldg, fennel, spn, spnl (default), balanced, dg,
 // edg, triangles, multilevel, labelprop. --threads > 1 selects parallel
-// SPNL / parallel label-prop; --batch-size tunes the parallel pipeline's
-// micro-batched queue handoff (clamped to the queue capacity; < 1 is a typed
+// SPNL / parallel label-prop; --batch-size sets how many records the parallel
+// pipeline's producer pushes per queue crossing (clamped to the queue capacity; < 1 is a typed
 // error); --passes > 1 wraps streaming algos in re-streaming; --buffer > 0
 // uses the hybrid buffered mode; --window > 0 uses WSGP-style
 // most-confident-first selection. --prepass=2ps (SPNL only, sequential and
